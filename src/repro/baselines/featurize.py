@@ -121,8 +121,29 @@ def emb_block(tokens: list[str], embedder: Embedder) -> np.ndarray:
 
 SPECS: dict[str, list[tuple[str, float]]] = {
     # (block, weight) lists; weights are squared-mass shares (Σ = 1).
+    #
+    # Sherlock-like baseline (paper §5.1.4, Hulsebos et al. [21]). Sherlock
+    # learns column vectors from engineered features (statistics,
+    # character distributions, word embeddings). Without its labeled
+    # semantic-type training set (not reproducible offline, and the paper
+    # uses it as a *representation*, not a classifier), we use the same
+    # feature groups directly as the column vector — a single-column,
+    # context-free encoder.
     "sherlock": [("stats", 0.2), ("char", 0.2), ("emb", 0.6)],
+    # SATO-like baseline (paper §5.1.4, Zhang et al. [54]). SATO extends
+    # Sherlock with *table context* captured by an LDA topic model over the
+    # table's values. Our stand-in for the topic vector is the table-level
+    # mean of the per-column embedding blocks — a fixed (untrained) context
+    # signal, which is exactly the qualitative difference the paper
+    # exploits: SATO has context but no contrastive training, so it lands
+    # between Sherlock and Starmie.
     "sato": [("stats", 0.15), ("char", 0.15), ("emb", 0.4), ("topic", 0.3)],
+    # D3L-like baseline (paper §5.1.4, Bogatu et al. [2]). D3L ensembles
+    # per-feature distances: value overlap, formatting (regular
+    # expressions), word embeddings, and distribution features (the
+    # column-name feature is omitted, as the paper does for fairness).
+    # Each feature is an L2-normalized block, so the cosine of the
+    # concatenated vector is the ensemble average of per-feature cosines.
     "d3l": [("hashset", 0.3), ("format", 0.2), ("emb", 0.3), ("stats", 0.2)],
 }
 
@@ -132,12 +153,10 @@ def feature_embeddings(
 ) -> DataFrame:
     """Compute a baseline's column vectors lake-wide (applyInPandas per table)."""
     spec = SPECS[method]
-    spark = tokens_df.sparkSession
-    vec_b = spark.sparkContext.broadcast(embedder.vectors)
-    dim = embedder.dim
+    emb_b = tokens_df.sparkSession.sparkContext.broadcast(embedder)
 
     def _per_table(pdf: pd.DataFrame) -> pd.DataFrame:
-        emb = Embedder(vectors=vec_b.value, dim=dim)
+        emb = emb_b.value
         pdf = pdf.sort_values("col_idx")
         per_col: list[dict[str, np.ndarray]] = []
         for cells, cell_tokens in zip(pdf["cells"], pdf["cell_tokens"]):

@@ -15,8 +15,15 @@ same table — the contextualization path. Ablating ``W2`` yields exactly
 the paper's SingleCol baseline, so the Starmie-vs-SingleCol comparison
 measures precisely what the paper measures: the value of table context.
 
-Inference is a Spark pass (``infer_embeddings``): ``applyInPandas``
-grouped by table with broadcast Word2Vec vectors and encoder weights.
+``MultiColumnEncoder.encode`` is the one column-encoding kernel: it
+pools each unit's tokens into a unit vector (``Embedder.unit_vecs``),
+averages a column's unit vectors into its base vector, adds the context
+vectors and projects (``forward``) to unit-norm embeddings. Training
+runs the same steps on augmented views (plus gradients); lake inference
+(``infer_embeddings``, an ``applyInPandas`` pass grouped by table with
+the broadcast embedder and encoder) and query-table embedding
+(``eval.ml_discovery.embed_query_table``) call ``encode`` itself, so the
+lake and the query are the same function of a table.
 """
 from __future__ import annotations
 
@@ -25,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.ml.feature import Word2Vec
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
@@ -67,6 +73,11 @@ def train_word2vec(
     seed: int = 42,
 ) -> Embedder:
     """Pre-train token embeddings on the serialized lake (one sentence per column)."""
+    # Imported here, not at module level: Spark's Python workers import
+    # this module to run ``encode`` in the inference pass, and loading
+    # MLlib in them slows that pass (≈0.3 s on a 12-table lake, 4 cores).
+    from pyspark.ml.feature import Word2Vec
+
     sent = prep_df.select(F.col("tokens").alias("text")).where(F.size("tokens") > 0)
     w2v = Word2Vec(
         vectorSize=dim,
@@ -115,12 +126,12 @@ def collect_table_views(prep_df: DataFrame, embedder: Embedder) -> dict[str, Tab
     return out
 
 
-def base_vectors(view: TableView, dim: int) -> np.ndarray:
-    """Per-column base vector: mean of the column's unit vectors."""
-    b = np.zeros((len(view.cols), dim), dtype=np.float64)
-    for i, c in enumerate(view.cols):
-        if len(c.vecs):
-            b[i] = c.vecs.mean(axis=0)
+def base_vectors(col_vecs: list[np.ndarray], dim: int) -> np.ndarray:
+    """Per-column base vector: mean of the column's unit vectors (zero if none)."""
+    b = np.zeros((len(col_vecs), dim), dtype=np.float64)
+    for i, vecs in enumerate(col_vecs):
+        if len(vecs):
+            b[i] = vecs.mean(axis=0)
     return b
 
 
@@ -142,8 +153,6 @@ class TrainStats:
 class MultiColumnEncoder:
     """Starmie's contextualized column encoder (trainable W1, W2)."""
 
-    uses_context = True
-
     def __init__(self, d_in: int, d_out: int = 64, seed: int = 0):
         g = np.random.default_rng(seed)
         self.d_in, self.d_out = d_in, d_out
@@ -152,15 +161,20 @@ class MultiColumnEncoder:
         self.W2 = g.normal(0, 0.01 * scale, (d_out, d_in))
 
     # -- forward ----------------------------------------------------------
-    def _features(self, view: TableView) -> tuple[np.ndarray, np.ndarray]:
-        b = base_vectors(view, self.d_in)
+    def _features(self, col_vecs: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        b = base_vectors(col_vecs, self.d_in)
         return b, context_vectors(b)
 
     def forward(self, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         return b @ self.W1.T + c @ self.W2.T
 
-    def encode_view(self, view: TableView) -> np.ndarray:
-        b, c = self._features(view)
+    def encode(self, embedder: Embedder, units: list[list[list[str]]]) -> np.ndarray:
+        """Embed one table: ``units[i]`` holds column i's token lists.
+
+        Returns one row per column: unit-norm, or zero for a column with
+        no known token that gets no context.
+        """
+        b, c = self._features([embedder.unit_vecs(u) for u in units])
         return normalize_rows(self.forward(b, c))
 
     # -- training (Algorithm 1, multi-column variant of §3.3) -------------
@@ -195,11 +209,9 @@ class MultiColumnEncoder:
             views.append((v, apply_op(v, op, rng, embedder=embedder)))
         b_blocks, c_blocks, pairs = [], [], []
         offset = 0
-        offsets: list[tuple[int, int]] = []
         for ori, aug in views:
-            bo, co = self._features(ori)
-            ba, ca = self._features(aug)
-            offsets.append((offset, offset + len(ori.cols)))
+            bo, co = self._features([c.vecs for c in ori.cols])
+            ba, ca = self._features([c.vecs for c in aug.cols])
             pairs.extend(
                 aligned_pairs(ori, aug, offset, offset + len(ori.cols))
             )
@@ -213,15 +225,9 @@ class MultiColumnEncoder:
         opt.step([du.T @ b, du.T @ c])
         return loss
 
-    # -- Spark inference ---------------------------------------------------
-    def weights(self) -> dict[str, np.ndarray]:
-        return {"W1": self.W1.copy(), "W2": self.W2.copy()}
-
 
 class SingleColEncoder(MultiColumnEncoder):
     """The paper's SingleCol baseline: same training, no context path."""
-
-    uses_context = False
 
     def __init__(self, d_in: int, d_out: int = 64, seed: int = 0):
         super().__init__(d_in, d_out, seed)
@@ -246,8 +252,8 @@ class SingleColEncoder(MultiColumnEncoder):
         offset = 0
         for ori, aug in views:
             pairs.extend(aligned_pairs(ori, aug, offset, offset + 1))
-            b_blocks.append(base_vectors(ori, self.d_in))
-            b_blocks.append(base_vectors(aug, self.d_in))
+            b_blocks.append(base_vectors([ori.cols[0].vecs], self.d_in))
+            b_blocks.append(base_vectors([aug.cols[0].vecs], self.d_in))
             offset += 2
         b = np.vstack(b_blocks)
         u = self.forward(b, None)
@@ -272,40 +278,16 @@ def infer_embeddings(
 ) -> DataFrame:
     """Lake-wide model inference: one contextualized embedding per column.
 
-    Runs as ``applyInPandas`` grouped by table with broadcast token
-    vectors + encoder weights — the offline embedding pass of Fig. 2.
+    Runs ``encoder.encode`` as ``applyInPandas`` grouped by table, with the
+    embedder and encoder broadcast — the offline embedding pass of Fig. 2.
     """
-    spark = prep_df.sparkSession
-    vec_b = spark.sparkContext.broadcast(embedder.vectors)
-    w_b = spark.sparkContext.broadcast(encoder.weights())
-    dim = embedder.dim
-    use_ctx = encoder.uses_context
+    model_b = prep_df.sparkSession.sparkContext.broadcast((embedder, encoder))
 
     def _per_table(pdf: pd.DataFrame) -> pd.DataFrame:
         pdf = pdf.sort_values("col_idx")
-        vecs = vec_b.value
-        w = w_b.value
-        b = np.zeros((len(pdf), dim), dtype=np.float64)
-        for i, units in enumerate(pdf["units"]):
-            acc, k = np.zeros(dim), 0
-            for u in units:
-                uv, uk = np.zeros(dim), 0
-                for t in u:
-                    tv = vecs.get(t)
-                    if tv is not None:
-                        uv += tv
-                        uk += 1
-                if uk:
-                    acc += uv / uk
-                    k += 1
-            if k:
-                b[i] = acc / k
-        if use_ctx and len(pdf) > 1:
-            c = (b.sum(axis=0, keepdims=True) - b) / (len(pdf) - 1)
-        else:
-            c = np.zeros_like(b)
-        u = b @ w["W1"].T + c @ w["W2"].T
-        z = normalize_rows(u)
+        emb, enc = model_b.value
+        # Arrow hands array columns over as numpy arrays; use plain lists.
+        z = enc.encode(emb, [[list(u) for u in units] for units in pdf["units"]])
         return pd.DataFrame(
             {
                 "table_id": pdf["table_id"].values,

@@ -1,44 +1,27 @@
-"""Object-store layout for generated lakes: parquet on the local FS.
+"""Lake size and statistics for Tables 2 and 6.
 
-The paper's lakes live in object storage; we persist each benchmark as a
-parquet dataset (the column-wise lake DataFrame) under ``REPRO_DATA_DIR``
-(default ``<repo>/data``). ``lake_stats`` computes the Table 2 statistics
-(#tables, #cols, avg #rows, size) with Spark SQL aggregations.
+Every runner regenerates its lake from the generator's seed, so lakes
+are not persisted. ``parquet_bytes`` measures what the column-wise lake
+DataFrame takes as parquet (the paper's object-store format) by writing
+it to a temporary directory; ``lake_stats`` computes the Table 2
+statistics (#tables, #cols, avg #rows, size) with Spark SQL aggregations.
 """
 from __future__ import annotations
 
-import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
-def data_dir() -> Path:
-    d = Path(os.environ.get("REPRO_DATA_DIR", Path(__file__).resolve().parents[3] / "data"))
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def lake_path(name: str) -> Path:
-    return data_dir() / f"lake_{name}.parquet"
-
-
-def save_lake(df: DataFrame, name: str) -> Path:
-    p = lake_path(name)
-    df.write.mode("overwrite").parquet(str(p))
-    return p
-
-
-def load_lake(spark: SparkSession, name: str) -> DataFrame:
-    return spark.read.parquet(str(lake_path(name)))
-
-
-def dataset_bytes(name: str) -> int:
-    """On-disk (parquet) size of the persisted lake."""
-    p = lake_path(name)
-    return sum(f.stat().st_size for f in p.rglob("*") if f.is_file())
+def parquet_bytes(df: DataFrame) -> int:
+    """On-disk size of ``df`` written as parquet."""
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "lake.parquet"
+        df.write.parquet(str(p))
+        return sum(f.stat().st_size for f in p.rglob("*") if f.is_file())
 
 
 def lake_raw_bytes(df: DataFrame) -> int:
@@ -74,7 +57,7 @@ class LakeStats:
                 round(self.size_mb, 2))
 
 
-def lake_stats(df: DataFrame, name: str, size_bytes: int | None = None) -> LakeStats:
+def lake_stats(df: DataFrame, name: str, size_bytes: int) -> LakeStats:
     """Compute Table 2 statistics via DataFrame aggregation."""
     agg = (
         df.select("table_id", F.size("cells").alias("n_rows"))
@@ -87,11 +70,6 @@ def lake_stats(df: DataFrame, name: str, size_bytes: int | None = None) -> LakeS
         )
         .collect()[0]
     )
-    if size_bytes is None:
-        try:
-            size_bytes = dataset_bytes(name)
-        except FileNotFoundError:
-            size_bytes = 0
     return LakeStats(
         name=name,
         n_tables=int(agg["n_tables"]),

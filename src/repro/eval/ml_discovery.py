@@ -30,11 +30,12 @@ from pyspark.ml.regression import GBTRegressor
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from ..core.encoder import Embedder, MultiColumnEncoder, collect_table_views, infer_embeddings
-from ..core.preprocess import preprocess_table, serialize
+from ..core.encoder import Embedder, MultiColumnEncoder
+from ..core.preprocess import preprocess_table
 from ..core.tokenize import tokenize_cell
 from ..datalake.generator import Lake, _domain_columns, _to_lake
 from ..datalake.vocab import DOMAINS, TYPES
+from ..search.engine import TableStore
 
 
 @dataclass
@@ -211,30 +212,24 @@ def retrieve_syntactic(
 
 
 def embed_query_table(
-    task: MLTask,
+    query_pdf: pd.DataFrame,
     embedder: Embedder,
     encoder: MultiColumnEncoder,
     idf: dict[str, float],
     *,
     budget: int = 40,
-) -> tuple[list[str], np.ndarray]:
-    """Driver-side embedding of a query table with the trained encoder."""
-    from ..core.encoder import base_vectors, context_vectors
-    from ..core.augment import ColumnView, TableView
+) -> np.ndarray:
+    """Driver-side embedding of a query table, one row per column.
 
-    qcols = list(task.query_pdf.columns)
+    Tokenizes and preprocesses the cells as ``prepare`` does for the lake
+    (TF-IDF entity sampling, same budget), then runs the encoder kernel
+    that lake inference runs.
+    """
     cell_tokens = [
-        [tokenize_cell(str(v)) for v in task.query_pdf[c]] for c in qcols
+        [tokenize_cell(str(v)) for v in query_pdf[c]] for c in query_pdf.columns
     ]
     units = preprocess_table(cell_tokens, method="tfidf_entity", budget=budget, idf=idf)
-    view = TableView(
-        "query",
-        [
-            ColumnView(i, u, embedder.unit_vecs(u), False, 0.0)
-            for i, u in enumerate(units)
-        ],
-    )
-    return qcols, encoder.encode_view(view)
+    return encoder.encode(embedder, units)
 
 
 def retrieve_starmie(
@@ -301,7 +296,6 @@ def _featurize(
     """Numeric columns as doubles; text columns → projected mean embedding."""
     g = np.random.default_rng(99)
     proj = g.normal(size=(embedder.dim, _TEXT_PROJ_DIM)).astype(np.float32)
-    dim = embedder.dim
     pdf = df.toPandas()
     feats: dict[str, np.ndarray] = {}
     for c in pdf.columns:
@@ -312,17 +306,8 @@ def _featurize(
             feats[f"f_{c}"] = num.fillna(0.0).to_numpy(dtype=float)
         else:
             vecs = np.zeros((len(pdf), _TEXT_PROJ_DIM))
-            vmap = embedder.vectors
             for i, v in enumerate(pdf[c].fillna("")):
-                toks = tokenize_cell(str(v))
-                acc, k = np.zeros(dim, dtype=np.float32), 0
-                for t in toks:
-                    tv = vmap.get(t)
-                    if tv is not None:
-                        acc += tv
-                        k += 1
-                if k:
-                    vecs[i] = (acc / k) @ proj
+                vecs[i] = embedder.tokens_vec(tokenize_cell(str(v))) @ proj
             for d in range(_TEXT_PROJ_DIM):
                 feats[f"f_{c}_{d}"] = vecs[:, d]
     out = pd.DataFrame(feats)
@@ -360,22 +345,12 @@ def run_ml_discovery(
     gbt_iter: int = 12,
 ) -> pd.DataFrame:
     """Full Table 7/11 harness. Returns per-task MSE per method."""
-    from ..experiments.common import prepare
+    from ..experiments.common import prepare, train_and_embed
 
     tasks, lake = build_ml_corpus(spark, n_tasks=n_tasks, n_filler=n_filler, seed=seed)
     prep = prepare(spark, lake)
-    views = collect_table_views(prep.prep_df, prep.embedder)
-    enc = MultiColumnEncoder(d_in=prep.embedder.dim, seed=0)
-    enc.train(views, op="drop_col", n_epochs=epochs, embedder=prep.embedder)
-    emb_df = infer_embeddings(prep.prep_df, prep.embedder, enc)
-    lake_emb: dict[str, np.ndarray] = {}
-    order: dict[str, list[int]] = {}
-    for r in emb_df.select("table_id", "col_idx", "emb").collect():
-        lake_emb.setdefault(r["table_id"], []).append((r["col_idx"], r["emb"]))
-    lake_emb = {
-        t: np.asarray([e for _, e in sorted(v)], dtype=np.float32)
-        for t, v in lake_emb.items()
-    }
+    emb_df, enc, _ = train_and_embed(prep, "starmie", op="drop_col", epochs=epochs)
+    lake_emb = TableStore.from_embeddings_df(emb_df).mats
     token_sets = _lake_token_sets(lake)
 
     records = []
@@ -388,7 +363,8 @@ def run_ml_discovery(
             joined = augment_with_join(spark, task, lake, tid, qc, ci)
             rec[metric.capitalize()] = train_eval_gbt(joined, prep.embedder, max_iter=gbt_iter)
             rec[f"{metric}_tid"] = tid
-        qcols, qvecs = embed_query_table(task, prep.embedder, enc, prep.idf)
+        qvecs = embed_query_table(task.query_pdf, prep.embedder, enc, prep.idf)
+        qcols = list(task.query_pdf.columns)
         tid, qc, ci = retrieve_starmie(task, lake_emb, qcols, qvecs, lake)
         joined = augment_with_join(spark, task, lake, tid, qc, ci)
         rec["Starmie"] = train_eval_gbt(joined, prep.embedder, max_iter=gbt_iter)

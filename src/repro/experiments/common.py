@@ -1,6 +1,6 @@
 """End-to-end pipeline shared by the per-table experiment runners.
 
-Offline stage (Fig. 2): generate/persist lake → tokenize (Spark) →
+Offline stage (Fig. 2): generate lake → tokenize (Spark) →
 TF-IDF (Spark) → preprocess (Spark) → Word2Vec pre-training (MLlib) →
 contrastive training (driver, Alg. 1) → model inference (Spark) →
 vector store / index. Online stage: Algorithm 3 via ``SearchEngine``.
@@ -12,10 +12,8 @@ from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame, SparkSession
 
-from ..baselines.d3l import d3l_embeddings
+from ..baselines.featurize import feature_embeddings
 from ..baselines.santos import SantosRanker
-from ..baselines.sato import sato_embeddings
-from ..baselines.sherlock import sherlock_embeddings
 from ..core.encoder import (
     Embedder,
     MultiColumnEncoder,
@@ -101,7 +99,7 @@ class MethodBundle:
     infer_seconds: float = 0.0
 
 
-def build_method(
+def train_and_embed(
     prep: Prepared,
     method: str,
     *,
@@ -109,10 +107,35 @@ def build_method(
     epochs: int = 10,
     batch_tables: int = 8,
     lr: float = 5e-3,
-    tau: float | None = None,
     seed: int = 0,
+) -> tuple[DataFrame, MultiColumnEncoder | None, float]:
+    """Embed every lake column with one vector method, training it first.
+
+    Returns the (lazy) embedding DataFrame, the trained encoder (``None``
+    for the feature baselines, which have nothing to train) and the
+    training seconds.
+    """
+    if method not in ("starmie", "singlecol"):
+        return feature_embeddings(prep.tokens_df, prep.embedder, method), None, 0.0
+    views = collect_table_views(prep.prep_df, prep.embedder)
+    cls = MultiColumnEncoder if method == "starmie" else SingleColEncoder
+    enc = cls(d_in=prep.embedder.dim, seed=seed)
+    t0 = time.perf_counter()
+    enc.train(
+        views, op=op, n_epochs=epochs, batch_tables=batch_tables,
+        lr=lr, seed=seed, embedder=prep.embedder,
+    )
+    train_s = time.perf_counter() - t0
+    return infer_embeddings(prep.prep_df, prep.embedder, enc), enc, train_s
+
+
+def build_method(
+    prep: Prepared, method: str, *, tau: float | None = None, **train_kw
 ) -> MethodBundle:
-    """Train/featurize one method on a prepared lake and load its vector store."""
+    """Train/featurize one method on a prepared lake and load its vector store.
+
+    ``train_kw`` are ``train_and_embed``'s keyword arguments.
+    """
     tau = DEFAULT_TAU.get(method, 0.6) if tau is None else tau
     if method == "santos":
         t0 = time.perf_counter()
@@ -121,51 +144,13 @@ def build_method(
             name=method, tau=tau, ranker=ranker,
             train_seconds=time.perf_counter() - t0,
         )
-    if method in ("starmie", "singlecol"):
-        views = collect_table_views(prep.prep_df, prep.embedder)
-        cls = MultiColumnEncoder if method == "starmie" else SingleColEncoder
-        enc = cls(d_in=prep.embedder.dim, seed=seed)
-        t0 = time.perf_counter()
-        enc.train(
-            views, op=op, n_epochs=epochs, batch_tables=batch_tables,
-            lr=lr, seed=seed, embedder=prep.embedder,
-        )
-        train_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        emb_df = infer_embeddings(prep.prep_df, prep.embedder, enc)
-        store = TableStore.from_embeddings_df(emb_df)
-        return MethodBundle(
-            name=method, tau=tau, store=store,
-            train_seconds=train_s, infer_seconds=time.perf_counter() - t0,
-        )
-    builders = {
-        "sherlock": sherlock_embeddings,
-        "sato": sato_embeddings,
-        "d3l": d3l_embeddings,
-    }
+    emb_df, _, train_s = train_and_embed(prep, method, **train_kw)
     t0 = time.perf_counter()
-    emb_df = builders[method](prep.tokens_df, prep.embedder)
     store = TableStore.from_embeddings_df(emb_df)
     return MethodBundle(
         name=method, tau=tau, store=store,
-        infer_seconds=time.perf_counter() - t0,
+        train_seconds=train_s, infer_seconds=time.perf_counter() - t0,
     )
-
-
-def method_embeddings_df(prep: Prepared, method: str, **kw) -> DataFrame:
-    """The raw embedding DataFrame for a method (used by clustering/ML)."""
-    if method in ("starmie", "singlecol"):
-        views = collect_table_views(prep.prep_df, prep.embedder)
-        cls = MultiColumnEncoder if method == "starmie" else SingleColEncoder
-        enc = cls(d_in=prep.embedder.dim, seed=kw.pop("seed", 0))
-        enc.train(views, embedder=prep.embedder, **kw)
-        return infer_embeddings(prep.prep_df, prep.embedder, enc)
-    builders = {
-        "sherlock": sherlock_embeddings,
-        "sato": sato_embeddings,
-        "d3l": d3l_embeddings,
-    }
-    return builders[method](prep.tokens_df, prep.embedder)
 
 
 @dataclass

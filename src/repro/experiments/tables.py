@@ -18,7 +18,7 @@ from ..datalake.generator import build_benchmark, microbench_lake
 from ..eval.clustering import cluster_columns
 from ..eval.metrics import evaluate_rankings, ideal_recall
 from ..eval.ml_discovery import run_ml_discovery, summarize_ml
-from .common import build_method, method_embeddings_df, prepare, run_union_search
+from .common import build_method, prepare, run_union_search, train_and_embed
 
 RESULTS_DIR = Path(os.environ.get("REPRO_RESULTS_DIR",
                                   Path(__file__).resolve().parents[3] / "results"))
@@ -27,7 +27,7 @@ RESULTS_DIR = Path(os.environ.get("REPRO_RESULTS_DIR",
 # best on SANTOS and drop_cell best on TUS with RoBERTa; with our
 # Word2Vec+linear-contextual substitute, drop_col is consistently best on
 # both families (cell-level perturbations are too weak for mean-pooled
-# base vectors), so we use it throughout — noted in EXPERIMENTS.md.
+# base vectors), so we use it throughout.
 BENCH_OP = {"santos": "drop_col", "tus": "drop_col", "wdc": "drop_col",
             "microbench": "drop_col"}
 BENCH_K = {"santos_small_lite": 10, "tus_small_lite": 60, "tus_large_lite": 60}
@@ -54,8 +54,7 @@ def table2_stats(spark: SparkSession, *, scale: float = 1.0,
     rows = []
     for b in benchmarks:
         lake = build_benchmark(spark, b, scale)
-        lake_io.save_lake(lake.df, b)
-        st = lake_io.lake_stats(lake.df, b)
+        st = lake_io.lake_stats(lake.df, b, lake_io.parquet_bytes(lake.df))
         rows.append({"benchmark": b, "n_tables": st.n_tables, "n_cols": st.n_cols,
                      "avg_rows": round(st.avg_rows, 1), "size_mb": round(st.size_mb, 2)})
     return _save(pd.DataFrame(rows), "table2_stats")
@@ -175,8 +174,8 @@ def table6_memory(
         tables_per_domain=max(3, int(24 * scale)),
         rows_range=(900, 1600), n_queries=4, seed=23,
     )
-    lake_io.save_lake(lake.df, "santos_large_mem")
     raw_bytes = lake_io.lake_raw_bytes(lake.df)
+    parquet_mb = round(lake_io.parquet_bytes(lake.df) / (1 << 20), 2)
     prep = prepare(spark, lake)
     bundle = build_method(prep, "starmie", op="drop_col", epochs=epochs)
     from ..search.engine import SearchEngine
@@ -189,7 +188,7 @@ def table6_memory(
             "method": label,
             "memory_mb": round(mem / (1 << 20), 2),
             "lake_mb": round(raw_bytes / (1 << 20), 2),
-            "parquet_mb": round(lake_io.dataset_bytes("santos_large_mem") / (1 << 20), 2),
+            "parquet_mb": parquet_mb,
             "space_overhead_pct": round(100 * mem / raw_bytes, 2),
         })
     return _save(pd.DataFrame(rows), "table6_memory")
@@ -234,8 +233,7 @@ def table10_clustering(
     op = "drop_col"
     rows = []
     for m in methods:
-        kw = dict(op=op, n_epochs=epochs) if m in ("starmie", "singlecol") else {}
-        emb_df = method_embeddings_df(prep, m, **kw).cache()
+        emb_df = train_and_embed(prep, m, op=op, epochs=epochs)[0].cache()
         best = None
         # θ grid scouting with driver union-find; the winning θ is re-run
         # through the distributed label-propagation CC.

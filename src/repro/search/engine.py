@@ -99,7 +99,8 @@ class SearchEngine:
     _owners: list[str] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        assert self.mode in MODES, self.mode
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.mode in ("lsh", "hnsw"):
             vecs, owners = self.store.flat()
             self._owners = owners
@@ -137,13 +138,13 @@ class SearchEngine:
         self, q: np.ndarray | str, k: int = 10, exclude_self: str | None = None
     ) -> tuple[list[tuple[str, float]], QueryStats]:
         if isinstance(q, str):
-            exclude_self = exclude_self  # query tables stay in the lake (as in the paper)
             q_mat = self.store.mats[q]
         else:
             q_mat = np.asarray(q, dtype=np.float32)
         stats = QueryStats()
         t0 = time.perf_counter()
         cands = self._find_candidates(q_mat)
+        # query tables stay in the lake (as in the paper) unless excluded
         if exclude_self is not None:
             cands = [t for t in cands if t != exclude_self]
         stats.n_candidates = len(cands)

@@ -86,9 +86,9 @@ def test_similarity_edges_blocked_equals_unblocked():
 
 
 def test_cluster_columns_end_to_end(spark, prep_santos):
-    from repro.experiments.common import method_embeddings_df
+    from repro.experiments.common import train_and_embed
 
-    emb_df = method_embeddings_df(prep_santos, "sherlock")
+    emb_df, _, _ = train_and_embed(prep_santos, "sherlock")
     res = cluster_columns(spark, emb_df, theta=0.95)
     assert res.n_clusters > 0
     assert 0.0 <= res.purity <= 1.0

@@ -1,8 +1,9 @@
 """Column encoders: Word2Vec pretraining, contrastive training, Spark inference."""
 import numpy as np
+import pandas as pd
 import pytest
 
-from repro.core.augment import TableView
+from repro.core.contrastive import normalize_rows
 from repro.core.encoder import (
     MultiColumnEncoder,
     SingleColEncoder,
@@ -11,6 +12,11 @@ from repro.core.encoder import (
     context_vectors,
     infer_embeddings,
 )
+from repro.eval.ml_discovery import embed_query_table
+
+
+def units_of(view):
+    return [c.units for c in view.cols]
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +66,7 @@ def test_collect_table_views_complete(views, tiny_santos):
 
 def test_base_vectors_mean_of_units(views):
     v = next(iter(views.values()))
-    b = base_vectors(v, 64)
+    b = base_vectors([c.vecs for c in v.cols], 64)
     for i, c in enumerate(v.cols):
         if len(c.vecs):
             assert np.allclose(b[i], c.vecs.mean(axis=0), atol=1e-6)
@@ -91,47 +97,82 @@ def test_singlecol_training_reduces_loss(views, prep_santos):
     assert np.mean(stats.losses[-5:]) < np.mean(stats.losses[:5])
 
 
-def test_encode_view_unit_norm(views):
+def test_encode_view_unit_norm(views, prep_santos):
     enc = MultiColumnEncoder(d_in=64, seed=0)
-    z = enc.encode_view(next(iter(views.values())))
+    z = enc.encode(prep_santos.embedder, units_of(next(iter(views.values()))))
     norms = np.linalg.norm(z, axis=1)
     assert np.allclose(norms[norms > 0], 1.0, atol=1e-5)
 
 
-def test_singlecol_ignores_context(views):
+def test_singlecol_ignores_context(views, prep_santos):
     enc = SingleColEncoder(d_in=64, seed=0)
-    view = next(v for v in views.values() if len(v.cols) >= 3)
-    z_full = enc.encode_view(view)
+    units = units_of(next(v for v in views.values() if len(v.cols) >= 3))
+    z_full = enc.encode(prep_santos.embedder, units)
     # dropping a column must not change the remaining columns' embeddings
-    sub = TableView(view.table_id, view.cols[:-1])
-    z_sub = enc.encode_view(sub)
-    assert np.allclose(z_full[: len(sub.cols)], z_sub, atol=1e-6)
+    z_sub = enc.encode(prep_santos.embedder, units[:-1])
+    assert np.allclose(z_full[: len(units) - 1], z_sub, atol=1e-6)
 
 
 def test_multicolumn_uses_context(views, prep_santos):
     enc = MultiColumnEncoder(d_in=64, seed=0)
     enc.train(views, op="drop_col", n_epochs=4, embedder=prep_santos.embedder, seed=0)
-    view = next(v for v in views.values() if len(v.cols) >= 3)
-    z_full = enc.encode_view(view)
-    sub = TableView(view.table_id, view.cols[:-1])
-    z_sub = enc.encode_view(sub)
+    units = units_of(next(v for v in views.values() if len(v.cols) >= 3))
+    z_full = enc.encode(prep_santos.embedder, units)
+    z_sub = enc.encode(prep_santos.embedder, units[:-1])
     # contextual path: removing a column shifts the others' embeddings
-    assert not np.allclose(z_full[: len(sub.cols)], z_sub, atol=1e-6)
+    assert not np.allclose(z_full[: len(units) - 1], z_sub, atol=1e-6)
 
 
-def test_infer_matches_driver_encoding(prep_santos, views):
-    """Spark inference must agree with driver-side encode_view."""
-    enc = MultiColumnEncoder(d_in=64, seed=3)
-    emb_df = infer_embeddings(prep_santos.prep_df, prep_santos.embedder, enc)
-    rows = emb_df.collect()
+def test_encode_edge_cases(prep_santos):
+    """One-column tables and unit-less columns: zero context, finite output."""
+    emb = prep_santos.embedder
+    tok = next(iter(emb.vectors))
+    enc = MultiColumnEncoder(d_in=64, seed=0)
+    assert enc.W2.any()
+    alone = enc.encode(emb, [[[tok]]])
+    # no other column: the embedding is the projected base vector alone
+    want = normalize_rows(emb.vectors[tok][None].astype(np.float64) @ enc.W1.T)
+    assert np.allclose(alone, want, atol=1e-6)
+    # an empty column has a zero base vector, so it adds no context
+    z = enc.encode(emb, [[], [["no-such-token"]], [[tok]]])
+    assert np.isfinite(z).all()
+    assert np.allclose(z[2], alone[0], atol=1e-6)
+    assert np.allclose(np.linalg.norm(z, axis=1), 1.0, atol=1e-6)
+    assert not enc.encode(emb, [[]]).any()
+    assert enc.encode(emb, []).shape == (0, 64)
+
+
+def _spark_rows(emb_df) -> dict[str, dict[int, np.ndarray]]:
     by_table: dict[str, dict[int, np.ndarray]] = {}
-    for r in rows:
+    for r in emb_df.collect():
         by_table.setdefault(r["table_id"], {})[r["col_idx"]] = np.asarray(r["emb"])
+    return by_table
+
+
+@pytest.mark.parametrize("cls", [MultiColumnEncoder, SingleColEncoder],
+                         ids=lambda c: c.__name__)
+def test_infer_matches_driver_encoding(prep_santos, views, cls):
+    """Spark inference must agree with the encoding training computes
+    from the driver-side views."""
+    enc = cls(d_in=64, seed=3)
+    by_table = _spark_rows(infer_embeddings(prep_santos.prep_df, prep_santos.embedder, enc))
     for tid, view in list(views.items())[:10]:
-        z = enc.encode_view(view)
+        z = normalize_rows(enc.forward(*enc._features([c.vecs for c in view.cols])))
         for i, c in enumerate(view.cols):
             got = by_table[tid][c.col_id]
-            assert np.allclose(got, z[i], atol=1e-4), tid
+            assert np.allclose(got, z[i], atol=1e-6), tid
+
+
+def test_query_path_matches_spark_inference(prep_santos, tiny_santos, views):
+    """A lake table embedded as a query table gets its lake embeddings."""
+    enc = MultiColumnEncoder(d_in=64, seed=0)
+    enc.train(views, op="drop_col", n_epochs=2, embedder=prep_santos.embedder, seed=0)
+    by_table = _spark_rows(infer_embeddings(prep_santos.prep_df, prep_santos.embedder, enc))
+    for tid, cols in list(tiny_santos.tables().items())[:10]:
+        pdf = pd.DataFrame({c["col_idx"]: c["cells"] for c in cols})
+        z = embed_query_table(pdf, prep_santos.embedder, enc, prep_santos.idf)
+        for i, c in enumerate(cols):
+            assert np.allclose(z[i], by_table[tid][c["col_idx"]], atol=1e-5), tid
 
 
 def test_infer_schema_carries_ground_truth(prep_santos):

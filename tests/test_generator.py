@@ -134,14 +134,6 @@ def test_lake_stats_vs_duckdb(spark, tiny_santos):
     )
 
 
-def test_save_and_load_roundtrip(spark, tiny_santos, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
-    lake_io.save_lake(tiny_santos.df, "rt")
-    back = lake_io.load_lake(spark, "rt")
-    assert back.count() == tiny_santos.df.count()
-    assert lake_io.dataset_bytes("rt") > 0
-
-
 def test_empty_cell_injection(tiny_santos):
     n_empty = sum(
         sum(1 for v in c["cells"] if v == "")

@@ -6,7 +6,6 @@ from repro.experiments import tables as T
 
 
 def test_table2_stats_runner(spark, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
     monkeypatch.setattr(T, "RESULTS_DIR", tmp_path)
     df = T.table2_stats(spark, scale=0.05, benchmarks=("santos_small_lite",))
     assert set(df.columns) == {"benchmark", "n_tables", "n_cols", "avg_rows", "size_mb"}
@@ -47,7 +46,6 @@ def test_table5_runner_tiny(spark, tmp_path, monkeypatch):
 
 
 def test_table6_runner_tiny(spark, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_DATA_DIR", str(tmp_path))
     monkeypatch.setattr(T, "RESULTS_DIR", tmp_path)
     df = T.table6_memory(spark, scale=0.05, epochs=3)
     assert list(df["method"]) == ["No Index", "LSH Index", "HNSW Index"]
