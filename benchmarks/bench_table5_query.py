@@ -3,6 +3,7 @@
 This is the paper's headline efficiency comparison: Linear vs Pruning vs
 LSH index vs HNSW index on the same vector store.
 """
+import numpy as np
 import pytest
 
 from repro.search.engine import SearchEngine
@@ -40,12 +41,22 @@ def test_bench_verification(benchmark, bench_starmie):
     assert len(scores) == 50
 
 
-def test_bench_bounds(benchmark, bench_starmie):
-    """The LB/UB pruning kernels (§4.3) — must be much cheaper than Verify."""
+@pytest.mark.parametrize("kernel", ["greedy_50_tables", "segment_all_tables"])
+def test_bench_bounds(benchmark, bench_starmie, kernel):
+    """The UB/LB pruning kernels (§4.3) — must be much cheaper than Verify:
+    the greedy LB/UB pair for 50 tables, one table at a time, against the
+    one segment-bound call that bounds every table of the store."""
     store = bench_starmie.store
     tids = store.table_ids
     q = store.mats[tids[0]]
     from repro.search.matching import lower_bound, upper_bound
+
+    if kernel == "segment_all_tables":
+        engine = SearchEngine(store=store, mode="pruning", tau=0.6)
+        everything = np.arange(len(tids))
+        out = benchmark(engine.candidate_upper_bounds, q, everything)
+        assert len(out) == len(tids)
+        return
 
     def bounds_block():
         return [

@@ -8,6 +8,8 @@
   the τ-thresholded column-similarity graph (Fig. 7).
 - ``upper_bound`` / ``lower_bound``: the greedy O(|E|log|E|+n) bounds of
   §4.3 (Example 4.2: UB=3.0, LB=1.5 for the Fig. 7 instance).
+- ``segment_upper_bounds``: a UB for many tables at once from one
+  similarity matrix, never looser than the greedy UB (2.2 on Fig. 7).
 """
 from __future__ import annotations
 
@@ -93,12 +95,43 @@ def threshold_edges(sim: np.ndarray, tau: float) -> np.ndarray:
 
 
 def table_union_score(sim: np.ndarray, tau: float) -> float:
-    """U(S,T): exact verification (the expensive ``Verify`` of Alg. 3)."""
-    w = threshold_edges(sim, tau)
-    if not w.any():
+    """U(S,T): exact verification (the expensive ``Verify`` of Alg. 3).
+
+    Hungarian runs only on the rows and columns with an edge ≥ τ: any
+    other node can only be matched at weight 0, so the score is the same.
+    """
+    edge = sim >= tau
+    if not edge.any():
         return 0.0
-    score, _ = hungarian_max(w)
+    sub = sim.compress(edge.any(axis=1), axis=0).compress(edge.any(axis=0), axis=1)
+    score, _ = hungarian_max(threshold_edges(sub, tau))
     return score
+
+
+def segment_upper_bounds(sim: np.ndarray, offsets: np.ndarray, tau: float) -> np.ndarray:
+    """UB of U(S,T) for every table T side by side in ``sim`` (§4.3).
+
+    ``sim`` is the (|S|, Σ|T|) similarity of the query columns to the
+    columns of several tables; table ``t`` owns columns
+    ``offsets[t]:offsets[t+1]``. A matching uses each node at most once,
+    so U(S,T) is at most the sum of the per-row maxima of the thresholded
+    block, and at most the sum of its per-column maxima; the bound is the
+    smaller sum. It is never looser than ``upper_bound``: by the time the
+    greedy UB covers S its edges include every row's maximum, and if it
+    covers T first they include every column's maximum.
+    """
+    out = np.zeros(len(offsets) - 1)
+    w = threshold_edges(sim, tau)
+    if w.size == 0:
+        return out
+    # reduceat cannot express an empty segment: bound only the non-empty
+    # ones (each then runs up to the next non-empty start).
+    full = np.flatnonzero(np.diff(offsets) > 0)
+    starts = offsets[full]
+    rows = np.maximum.reduceat(w, starts, axis=1).sum(axis=0, dtype=np.float64)
+    cols = np.add.reduceat(w.max(axis=0), starts, dtype=np.float64)
+    out[full] = np.minimum(rows, cols)
+    return out
 
 
 def _sorted_edges(sim: np.ndarray, tau: float) -> list[tuple[float, int, int]]:

@@ -28,8 +28,8 @@ def store():
     return TableStore.from_arrays(mats)
 
 
-def brute_force_topk(store, q_tid, k, tau):
-    q = store.mats[q_tid]
+def brute_force_topk(store, q, k, tau):
+    q = store.mats[q] if isinstance(q, str) else q
     scored = [
         (tid, table_union_score(q @ store.mats[tid].T, tau))
         for tid in store.table_ids
@@ -116,10 +116,20 @@ def test_memory_accounting(store):
     assert lsh > base and hnsw > base
 
 
-def test_store_flat_consistent(store):
-    vecs, owners = store.flat()
-    assert vecs.shape[0] == len(owners)
-    assert vecs.shape[0] == sum(m.shape[0] for m in store.mats.values())
+def test_store_layout(store):
+    """One float32 matrix; each table's block is a view of its rows."""
+    offs = store.offsets
+    assert offs[0] == 0 and offs[-1] == store.vecs.shape[0]
+    assert np.all(np.diff(offs) >= 0)
+    assert store.vecs.shape[0] == sum(m.shape[0] for m in store.mats.values())
+    for i, tid in enumerate(store.table_ids):
+        m = store.mats[tid]
+        assert m.base is store.vecs
+        assert np.array_equal(m, store.vecs[offs[i]:offs[i + 1]])
+    assert store.owners(np.arange(offs[-1])).tolist() == [
+        i for i, t in enumerate(store.table_ids) for _ in range(store.mats[t].shape[0])
+    ]
+    assert store.memory_bytes() == store.vecs.nbytes + offs.nbytes
 
 
 def test_invalid_mode_rejected(store):
@@ -131,3 +141,88 @@ def test_hnsw_much_fewer_candidates_than_linear(store):
     eng = SearchEngine(store=store, mode="hnsw", tau=0.6, n_neighbors=5, seed=0)
     _, stats = eng.query("tab005_g0", k=5)
     assert stats.n_candidates <= len(store.table_ids) // 2
+
+
+def _basis(n, dim=8):
+    return np.eye(dim, dtype=np.float32)[:n]
+
+
+@pytest.fixture(scope="module")
+def tied_store():
+    """k cuts through blocks of tied tables: duplicates, then zero scores.
+
+    The query is e0,e1,e2. ``dup*`` score 1.0 each; ``two``/``three``
+    score 2/3 and sort after the duplicates, ``zero*`` score 0.
+    """
+    e = _basis(8)
+    mats = {f"dup{i}": e[[0]] for i in range(4)}
+    mats.update({f"zero{i}": e[[5 + i % 3]] for i in range(4)})
+    mats["two"] = e[[0, 1]]
+    mats["three"] = e[[0, 1, 2]]
+    mats["a_zero"] = e[[7, 6]]
+    return TableStore.from_arrays(mats)
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_ties_resolved_by_table_id(tied_store, k):
+    """The top k is the first k of the (-score, table_id) order, whatever
+    order a mode visits the tables in."""
+    q = _basis(3)
+    want = brute_force_topk(tied_store, q, k, 0.6)
+    for mode in ("linear", "pruning"):
+        res, st = SearchEngine(store=tied_store, mode=mode, tau=0.6).query(q, k=k)
+        assert res == want, mode
+        assert st.n_verifications + st.n_ub_prunes == st.n_candidates
+
+
+def _one_column_store():
+    g = np.random.default_rng(3)
+    return TableStore.from_arrays(
+        {f"t{i:02d}": unit(g.normal(size=(1, 16))) for i in range(30)}
+    )
+
+
+@pytest.mark.parametrize("case", ["one_column", "below_tau", "k_over_lake"])
+def test_edge_cases_match_brute_force(store, case):
+    q, k, tau, lake = store.mats["tab002_g2"], 5, 0.6, store
+    if case == "one_column":
+        lake = _one_column_store()
+        q = lake.mats["t04"]
+    elif case == "below_tau":
+        tau = 1.01
+    else:
+        k = 500
+    want = brute_force_topk(lake, q, k, tau)
+    for mode in ("linear", "pruning"):
+        res, _ = SearchEngine(store=lake, mode=mode, tau=tau).query(q, k=k)
+        assert [t for t, _ in res] == [t for t, _ in want], mode
+        assert [s for _, s in res] == pytest.approx([s for _, s in want]), mode
+    for mode in ("lsh", "hnsw"):
+        res, _ = SearchEngine(store=lake, mode=mode, tau=tau, seed=0).query(q, k=k)
+        for tid, s in res:
+            assert s == pytest.approx(table_union_score(q @ lake.mats[tid].T, tau))
+
+
+@pytest.mark.parametrize("mode", ["lsh", "hnsw"])
+def test_no_index_hits_gives_empty_result(mode):
+    """LSH: the opposite vector shares no bucket; HNSW: τ above every sim."""
+    lake = TableStore.from_arrays({"only": _basis(1)})
+    eng = SearchEngine(store=lake, mode=mode, tau=1.5 if mode == "hnsw" else 0.6, seed=0)
+    res, st = eng.query(-_basis(1), k=3)
+    assert res == [] and st.n_candidates == 0 and st.n_verifications == 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_exclude_self_removes_only_candidate(mode):
+    lake = TableStore.from_arrays({"only": _basis(2)})
+    res, st = SearchEngine(store=lake, mode=mode, seed=0).query(
+        "only", k=3, exclude_self="only")
+    assert res == [] and st.n_candidates == 0
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_empty_store(mode):
+    lake = TableStore.from_arrays({})
+    assert lake.table_ids == [] and lake.memory_bytes() == lake.offsets.nbytes
+    res, st = SearchEngine(store=lake, mode=mode, seed=0).query(_basis(2), k=3)
+    assert res == [] and st.n_candidates == 0

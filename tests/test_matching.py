@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.search.engine import SearchEngine, TableStore
 from repro.search.matching import (
     hungarian_max,
     lower_bound,
+    segment_upper_bounds,
     table_union_score,
     threshold_edges,
     upper_bound,
@@ -63,6 +65,20 @@ def test_bounds_sandwich_exact(w, tau):
     assert exact <= ub + 1e-9
 
 
+@settings(max_examples=120, deadline=None)
+@given(weight_matrices(), st.floats(0.1, 0.9), st.data())
+def test_segment_bound_between_exact_and_greedy(w, tau, data):
+    """Split the columns into two tables (either may be empty): each
+    table's segment UB sits between its exact score and its greedy UB."""
+    cut = data.draw(st.integers(0, w.shape[1]))
+    offsets = np.array([0, cut, w.shape[1]])
+    seg = segment_upper_bounds(w, offsets, tau)
+    for t in range(2):
+        block = w[:, offsets[t]:offsets[t + 1]]
+        assert table_union_score(block, tau) <= seg[t] + 1e-9
+        assert seg[t] <= upper_bound(block, tau) + 1e-9
+
+
 def fig7_matrix():
     sim = np.zeros((4, 3))
     sim[0, 0] = 0.8
@@ -81,6 +97,44 @@ def test_example_4_2_upper_bound():
     assert upper_bound(fig7_matrix(), 0.5) == pytest.approx(3.0)
 
 
+def test_fig7_segment_bound():
+    """Row maxima 0.85+0.7+0.65 = 2.2 < column maxima 0.8+0.85+0.65."""
+    assert segment_upper_bounds(fig7_matrix(), np.array([0, 3]), 0.5)[0] == pytest.approx(2.2)
+
+
+def test_flat_product_bound_covers_per_table_rounding():
+    """The engine bounds every table from one product with the whole
+    store, but verifies with one product per table; the two round
+    differently. With τ set to similarities the per-table products hit
+    exactly, no table's bound may fall below its exact score."""
+    g = np.random.default_rng(5)
+    dim = 64
+    q = g.normal(size=(4, dim))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    mats = {}
+    for t in range(150):
+        rows = []
+        for _ in range(int(g.integers(1, 6))):
+            i = int(g.integers(0, 4))
+            u = g.normal(size=dim)
+            u -= (u @ q[i]) * q[i]
+            u /= np.linalg.norm(u)
+            rows.append(0.7 * q[i] + np.sqrt(1 - 0.7 ** 2) * u)  # cos ≈ 0.7
+        mats[f"t{t:03d}"] = np.array(rows)
+    store = TableStore.from_arrays(mats)
+    q = q.astype(np.float32)
+    sims = {t: q @ m.T for t, m in store.mats.items()}
+    taus = np.unique(np.concatenate([s.ravel() for s in sims.values()]))
+    taus = taus[np.abs(taus - 0.7) < 1e-6]
+    assert len(taus) >= 5
+    cands = np.arange(len(store.table_ids))
+    for tau in taus:
+        eng = SearchEngine(store=store, mode="pruning", tau=float(tau))
+        ub = eng.candidate_upper_bounds(q, cands)
+        exact = np.array([table_union_score(sims[t], float(tau)) for t in store.table_ids])
+        assert np.all(ub >= exact)
+
+
 def test_example_4_2_lower_bound():
     assert lower_bound(fig7_matrix(), 0.5) == pytest.approx(1.5)
 
@@ -96,6 +150,8 @@ def test_empty_matrix():
     assert table_union_score(np.zeros((3, 0)), 0.5) == 0.0
     assert upper_bound(np.zeros((2, 2)), 0.5) == 0.0
     assert lower_bound(np.zeros((2, 2)), 0.5) == 0.0
+    assert segment_upper_bounds(np.zeros((0, 3)), np.array([0, 1, 3]), 0.5).tolist() == [0, 0]
+    assert segment_upper_bounds(np.zeros((2, 0)), np.array([0]), 0.5).tolist() == []
 
 
 def test_all_below_threshold():
