@@ -18,6 +18,10 @@ Blocks:
   the cosine of two hashed set vectors estimates set cosine overlap)
 - ``topic``    — table-level context vector (SATO's LDA stand-in): the
   mean of the table's per-column ``emb`` blocks
+
+``feature_table`` builds one table's vectors on the driver;
+``feature_embeddings`` runs it on every lake table in one table-batched
+Spark pass (``datalake.io.map_tables``).
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ import pandas as pd
 from pyspark.sql import DataFrame
 
 from ..core.encoder import EMB_SCHEMA, Embedder
+from ..datalake.io import map_tables
 
 _ALPHANUM = "abcdefghijklmnopqrstuvwxyz0123456789"
 _CHAR_IDX = {c: i for i, c in enumerate(_ALPHANUM)}
@@ -148,44 +153,61 @@ SPECS: dict[str, list[tuple[str, float]]] = {
 }
 
 
+def feature_table(
+    cells: list[list[str]],
+    cell_tokens: list[list[list[str]]],
+    embedder: Embedder,
+    method: str,
+) -> np.ndarray:
+    """One table's ``method`` vectors, one unit-norm float32 row per column.
+
+    ``cells[i]`` holds column i's cell strings, ``cell_tokens[i]`` one
+    token list per cell.
+    """
+    spec = SPECS[method]
+    per_col: list[dict[str, np.ndarray]] = []
+    for col_cells, col_tokens in zip(cells, cell_tokens):
+        col_cells = list(col_cells)
+        tokens = [t for ct in col_tokens for t in ct]
+        per_col.append(
+            {
+                "stats": stats_block(col_cells, tokens),
+                "char": char_block(col_cells),
+                "format": format_block(col_cells),
+                "hashset": hashset_block(tokens),
+                "emb": emb_block(tokens, embedder),
+            }
+        )
+    if any(b == "topic" for b, _ in spec):
+        topic = _l2(np.mean([c["emb"] for c in per_col], axis=0))
+        for c in per_col:
+            c["topic"] = topic
+    return np.stack(
+        [
+            _l2(np.concatenate([np.sqrt(w) * blocks[b] for b, w in spec]))
+            for blocks in per_col
+        ]
+    ).astype(np.float32)
+
+
 def feature_embeddings(
     tokens_df: DataFrame, embedder: Embedder, method: str
 ) -> DataFrame:
-    """Compute a baseline's column vectors lake-wide (applyInPandas per table)."""
-    spec = SPECS[method]
+    """Compute a baseline's column vectors lake-wide (``feature_table`` per table)."""
+    if method not in SPECS:
+        raise ValueError(f"unknown baseline method {method!r}")
     emb_b = tokens_df.sparkSession.sparkContext.broadcast(embedder)
 
     def _per_table(pdf: pd.DataFrame) -> pd.DataFrame:
-        emb = emb_b.value
-        pdf = pdf.sort_values("col_idx")
-        per_col: list[dict[str, np.ndarray]] = []
-        for cells, cell_tokens in zip(pdf["cells"], pdf["cell_tokens"]):
-            cells = list(cells)
-            tokens = [t for ct in cell_tokens for t in ct]
-            blocks = {
-                "stats": stats_block(cells, tokens),
-                "char": char_block(cells),
-                "format": format_block(cells),
-                "hashset": hashset_block(tokens),
-                "emb": emb_block(tokens, emb),
+        z = feature_table(pdf["cells"], pdf["cell_tokens"], emb_b.value, method)
+        return pd.DataFrame(
+            {
+                "table_id": pdf["table_id"].values,
+                "col_idx": pdf["col_idx"].values,
+                "sem_type": pdf["sem_type"].values,
+                "domain": pdf["domain"].values,
+                "emb": [r.tolist() for r in z],
             }
-            per_col.append(blocks)
-        if any(b == "topic" for b, _ in spec):
-            topic = _l2(np.mean([c["emb"] for c in per_col], axis=0))
-            for c in per_col:
-                c["topic"] = topic
-        out = []
-        for (_, row), blocks in zip(pdf.iterrows(), per_col):
-            v = np.concatenate([np.sqrt(w) * blocks[b] for b, w in spec])
-            out.append(
-                {
-                    "table_id": row["table_id"],
-                    "col_idx": int(row["col_idx"]),
-                    "sem_type": row["sem_type"],
-                    "domain": row["domain"],
-                    "emb": _l2(v).astype(np.float32).tolist(),
-                }
-            )
-        return pd.DataFrame(out)
+        )
 
-    return tokens_df.groupBy("table_id").applyInPandas(_per_table, schema=EMB_SCHEMA)
+    return map_tables(tokens_df, _per_table, EMB_SCHEMA)

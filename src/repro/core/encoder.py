@@ -20,8 +20,8 @@ pools each unit's tokens into a unit vector (``Embedder.unit_vecs``),
 averages a column's unit vectors into its base vector, adds the context
 vectors and projects (``forward``) to unit-norm embeddings. Training
 runs the same steps on augmented views (plus gradients); lake inference
-(``infer_embeddings``, an ``applyInPandas`` pass grouped by table with
-the broadcast embedder and encoder) and query-table embedding
+(``infer_embeddings``, a table-batched ``datalake.io.map_tables`` pass
+with the broadcast embedder and encoder) and query-table embedding
 (``eval.ml_discovery.embed_query_table``) call ``encode`` itself, so the
 lake and the query are the same function of a table.
 """
@@ -36,6 +36,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
+from ..datalake.io import map_tables
 from .augment import ColumnView, TableView, aligned_pairs, apply_op
 from .contrastive import Adam, TAU_DEFAULT, loss_and_grad, normalize_rows
 
@@ -278,13 +279,12 @@ def infer_embeddings(
 ) -> DataFrame:
     """Lake-wide model inference: one contextualized embedding per column.
 
-    Runs ``encoder.encode`` as ``applyInPandas`` grouped by table, with the
+    Runs ``encoder.encode`` on every table (``map_tables``), with the
     embedder and encoder broadcast — the offline embedding pass of Fig. 2.
     """
     model_b = prep_df.sparkSession.sparkContext.broadcast((embedder, encoder))
 
     def _per_table(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("col_idx")
         emb, enc = model_b.value
         # Arrow hands array columns over as numpy arrays; use plain lists.
         z = enc.encode(emb, [[list(u) for u in units] for units in pdf["units"]])
@@ -298,4 +298,4 @@ def infer_embeddings(
             }
         )
 
-    return prep_df.groupBy("table_id").applyInPandas(_per_table, schema=EMB_SCHEMA)
+    return map_tables(prep_df, _per_table, EMB_SCHEMA)

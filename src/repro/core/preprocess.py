@@ -19,18 +19,19 @@ methods yield singleton "cells"), which downstream code treats uniformly:
 the serialized column is the concatenation, and augmentation operators
 sample these units. Deterministic in ``seed``; only ``random`` uses it.
 
-``preprocess_lake`` applies the selection lake-wide with
-``applyInPandas`` grouped by table (row-level methods need all columns
-of a table at once).
+``preprocess_lake`` applies the selection lake-wide as one
+table-batched pass (``datalake.io.map_tables``): each Python call takes
+an Arrow batch of whole tables and runs ``preprocess_table`` on each, so
+the row-level methods see all columns of a table at once.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
+from ..datalake.io import map_tables
 from .tfidf import cell_score
 
 METHODS = (
@@ -193,40 +194,34 @@ def preprocess_lake(
     idf: dict[str, float] | None = None,
     seed: int = 0,
 ) -> DataFrame:
-    """Lake-wide preprocessing pass (grouped by table for row-level methods)."""
-    idf_local = dict(idf or {})
-    spark = tokens_df.sparkSession
-    idf_b = spark.sparkContext.broadcast(idf_local)
+    """Lake-wide preprocessing pass: ``preprocess_table`` on every table."""
+    idf_b = tokens_df.sparkSession.sparkContext.broadcast(dict(idf or {}))
 
     def _per_table(pdf: pd.DataFrame) -> pd.DataFrame:
-        pdf = pdf.sort_values("col_idx")
         # Arrow hands array columns to pandas as numpy arrays; normalize
         # to plain lists so truthiness/tuple() behave.
         cols = [[list(cell) for cell in ct] for ct in pdf["cell_tokens"]]
         units = preprocess_table(
             cols, method=method, budget=budget, idf=idf_b.value, seed=seed
         )
-        out = []
-        for (_, row), u, raw in zip(pdf.iterrows(), units, cols):
-            toks = serialize(u)
-            n = max(1, len(raw))
-            n_empty = sum(1 for c in raw if not c)
-            n_num = sum(
-                1 for c in raw if c and all(t.startswith("<num:") or t.isdigit() for t in c)
-            )
-            out.append(
-                {
-                    "table_id": row["table_id"],
-                    "col_idx": int(row["col_idx"]),
-                    "col_name": row["col_name"],
-                    "sem_type": row["sem_type"],
-                    "domain": row["domain"],
-                    "units": u,
-                    "tokens": toks,
-                    "empty_frac": n_empty / n,
-                    "numeric_frac": n_num / n,
-                }
-            )
-        return pd.DataFrame(out)
+        n = [max(1, len(raw)) for raw in cols]
+        n_empty = [sum(1 for c in raw if not c) for raw in cols]
+        n_num = [
+            sum(1 for c in raw if c and all(t.startswith("<num:") or t.isdigit() for t in c))
+            for raw in cols
+        ]
+        return pd.DataFrame(
+            {
+                "table_id": pdf["table_id"].values,
+                "col_idx": pdf["col_idx"].values,
+                "col_name": pdf["col_name"].values,
+                "sem_type": pdf["sem_type"].values,
+                "domain": pdf["domain"].values,
+                "units": units,
+                "tokens": [serialize(u) for u in units],
+                "empty_frac": np.divide(n_empty, n),
+                "numeric_frac": np.divide(n_num, n),
+            }
+        )
 
-    return tokens_df.groupBy("table_id").applyInPandas(_per_table, schema=_OUT_SCHEMA)
+    return map_tables(tokens_df, _per_table, _OUT_SCHEMA)

@@ -56,3 +56,15 @@ def starmie_santos(prep_santos) -> MethodBundle:
 @pytest.fixture(scope="session")
 def starmie_tus(prep_tus) -> MethodBundle:
     return build_method(prep_tus, "starmie", op="drop_col", epochs=10)
+
+
+@pytest.fixture
+def two_row_arrow_batches(spark):
+    """Arrow batches of two rows for one test, so most tables cross a batch."""
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    old = spark.conf.get(key)
+    spark.conf.set(key, "2")
+    try:
+        yield
+    finally:
+        spark.conf.set(key, old)

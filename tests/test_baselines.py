@@ -7,6 +7,7 @@ from repro.baselines.featurize import (
     char_block,
     emb_block,
     feature_embeddings,
+    feature_table,
     format_block,
     hashset_block,
     pattern_signature,
@@ -75,13 +76,31 @@ def test_specs_weights_sum_to_one():
 
 
 @pytest.mark.parametrize("method", sorted(SPECS))
-def test_feature_embeddings_schema(spark, tiny_santos, prep_santos, method):
+def test_feature_embeddings_schema(prep_santos, method):
+    """Every (table_id, col_idx) of the lake appears once, with the unit
+    vector ``feature_table`` gives its table on the driver."""
     df = feature_embeddings(prep_santos.tokens_df, prep_santos.embedder, method)
-    rows = df.limit(5).collect()
-    assert rows
-    for r in rows:
-        v = np.asarray(r["emb"])
+    rows = df.collect()
+    got = {(r["table_id"], r["col_idx"]): np.asarray(r["emb"]) for r in rows}
+    assert len(got) == len(rows)
+    tables: dict[str, list] = {}
+    for r in prep_santos.tokens_df.collect():
+        tables.setdefault(r["table_id"], []).append(r)
+    expected = {}
+    for tid, cols in tables.items():
+        cols.sort(key=lambda r: r["col_idx"])
+        z = feature_table([r["cells"] for r in cols], [r["cell_tokens"] for r in cols],
+                          prep_santos.embedder, method)
+        expected.update({(tid, r["col_idx"]): v for r, v in zip(cols, z)})
+    assert sorted(got) == sorted(expected)
+    for key, v in expected.items():
+        assert np.array_equal(got[key], v), key
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-3)
+
+
+def test_feature_embeddings_unknown_method(prep_santos):
+    with pytest.raises(ValueError):
+        feature_embeddings(prep_santos.tokens_df, prep_santos.embedder, "starmie")
 
 
 def test_sato_topic_shared_within_table(spark, prep_santos):

@@ -142,37 +142,54 @@ def test_encode_edge_cases(prep_santos):
     assert enc.encode(emb, []).shape == (0, 64)
 
 
-def _spark_rows(emb_df) -> dict[str, dict[int, np.ndarray]]:
-    by_table: dict[str, dict[int, np.ndarray]] = {}
-    for r in emb_df.collect():
-        by_table.setdefault(r["table_id"], {})[r["col_idx"]] = np.asarray(r["emb"])
-    return by_table
+def _spark_rows(emb_df) -> dict[tuple[str, int], np.ndarray]:
+    """``(table_id, col_idx)`` → embedding; each key must occur once."""
+    rows = emb_df.select("table_id", "col_idx", "emb").collect()
+    out = {(r["table_id"], r["col_idx"]): np.asarray(r["emb"]) for r in rows}
+    assert len(out) == len(rows)
+    return out
 
 
 @pytest.mark.parametrize("cls", [MultiColumnEncoder, SingleColEncoder],
                          ids=lambda c: c.__name__)
 def test_infer_matches_driver_encoding(prep_santos, views, cls):
     """Spark inference must agree with the encoding training computes
-    from the driver-side views."""
+    from the driver-side views, for every column of the lake."""
     enc = cls(d_in=64, seed=3)
-    by_table = _spark_rows(infer_embeddings(prep_santos.prep_df, prep_santos.embedder, enc))
-    for tid, view in list(views.items())[:10]:
+    got = _spark_rows(infer_embeddings(prep_santos.prep_df, prep_santos.embedder, enc))
+    expected = {}
+    for tid, view in views.items():
         z = normalize_rows(enc.forward(*enc._features([c.vecs for c in view.cols])))
-        for i, c in enumerate(view.cols):
-            got = by_table[tid][c.col_id]
-            assert np.allclose(got, z[i], atol=1e-6), tid
+        expected.update({(tid, c.col_id): z[i] for i, c in enumerate(view.cols)})
+    assert sorted(got) == sorted(expected)
+    for key, z in expected.items():
+        assert np.allclose(got[key], z, atol=1e-6), key
+
+
+def test_infer_tables_cross_batches(prep_santos, views, two_row_arrow_batches):
+    """Tables cut by an Arrow batch boundary get ``encode``'s embeddings,
+    which depend on every column of the table through the context path."""
+    enc = MultiColumnEncoder(d_in=64, seed=3)
+    got = _spark_rows(infer_embeddings(prep_santos.prep_df, prep_santos.embedder, enc))
+    expected = {}
+    for tid, view in views.items():
+        z = enc.encode(prep_santos.embedder, units_of(view)).astype(np.float32)
+        expected.update({(tid, c.col_id): z[i] for i, c in enumerate(view.cols)})
+    assert sorted(got) == sorted(expected)
+    for key, z in expected.items():
+        assert np.array_equal(got[key], z), key
 
 
 def test_query_path_matches_spark_inference(prep_santos, tiny_santos, views):
     """A lake table embedded as a query table gets its lake embeddings."""
     enc = MultiColumnEncoder(d_in=64, seed=0)
     enc.train(views, op="drop_col", n_epochs=2, embedder=prep_santos.embedder, seed=0)
-    by_table = _spark_rows(infer_embeddings(prep_santos.prep_df, prep_santos.embedder, enc))
+    got = _spark_rows(infer_embeddings(prep_santos.prep_df, prep_santos.embedder, enc))
     for tid, cols in list(tiny_santos.tables().items())[:10]:
         pdf = pd.DataFrame({c["col_idx"]: c["cells"] for c in cols})
         z = embed_query_table(pdf, prep_santos.embedder, enc, prep_santos.idf)
         for i, c in enumerate(cols):
-            assert np.allclose(z[i], by_table[tid][c["col_idx"]], atol=1e-5), tid
+            assert np.allclose(z[i], got[(tid, c["col_idx"])], atol=1e-5), tid
 
 
 def test_infer_schema_carries_ground_truth(prep_santos):

@@ -142,24 +142,39 @@ def test_empty_cells_skipped():
     assert out[0] == [["t5"]]
 
 
-@pytest.mark.parametrize("method", ["tfidf_entity", "head", "tfidf_row"])
-def test_preprocess_lake_matches_driver(spark, tiny_santos, method):
-    """The Spark pass must agree with the driver-side function per table."""
-    from repro.core.tfidf import idf_map
+def assert_lake_matches_driver(prep, method: str) -> None:
+    """Every (table_id, col_idx) of the lake appears once in the Spark pass,
+    with the units ``preprocess_table`` gives its table on the driver."""
+    got = preprocess_lake(prep.tokens_df, method=method, budget=12, idf=prep.idf)
+    rows = got.select("table_id", "col_idx", "units", "tokens").collect()
+    tables: dict[str, list] = {}
+    for r in prep.tokens_df.collect():
+        tables.setdefault(r["table_id"], []).append(r)
+    expected = {}
+    for tid, cols in tables.items():
+        cols.sort(key=lambda r: r["col_idx"])
+        units = preprocess_table(
+            [[list(c) for c in r["cell_tokens"]] for r in cols],
+            method=method, budget=12, idf=prep.idf, seed=0,
+        )
+        expected.update({(tid, r["col_idx"]): u for r, u in zip(cols, units)})
+    assert sorted((r["table_id"], r["col_idx"]) for r in rows) == sorted(expected)
+    for r in rows:
+        units = [list(u) for u in r["units"]]
+        assert units == expected[(r["table_id"], r["col_idx"])]
+        assert list(r["tokens"]) == serialize(units)
 
-    tokens_df = tokenize_lake(tiny_santos.df)
-    idf = idf_map(tokens_df)
-    prep = preprocess_lake(tokens_df, method=method, budget=12, idf=idf)
-    some = prep.orderBy("table_id", "col_idx").limit(12).collect()
-    by_table = {}
-    for r in tokens_df.collect():
-        by_table.setdefault(r["table_id"], []).append(r)
-    for r in some:
-        rows = sorted(by_table[r["table_id"]], key=lambda x: x["col_idx"])
-        cols = [[list(c) for c in rr["cell_tokens"]] for rr in rows]
-        expected = preprocess_table(cols, method=method, budget=12, idf=idf, seed=0)
-        got_units = [list(u) for u in r["units"]]
-        assert got_units == expected[r["col_idx"]]
+
+@pytest.mark.parametrize("method", ["tfidf_entity", "head", "tfidf_row"])
+def test_preprocess_lake_matches_driver(prep_santos, method):
+    """The Spark pass must agree with the driver-side function per table."""
+    assert_lake_matches_driver(prep_santos, method)
+
+
+@pytest.mark.parametrize("method", ["tfidf_entity", "tfidf_row"])
+def test_preprocess_lake_tables_cross_batches(prep_santos, two_row_arrow_batches, method):
+    """Tables cut by an Arrow batch boundary are still preprocessed whole."""
+    assert_lake_matches_driver(prep_santos, method)
 
 
 def test_preprocess_lake_columns_complete(spark, tiny_santos):
