@@ -1,7 +1,7 @@
-"""Benchmark behind Table 10: similarity graph + Spark connected components."""
+"""Benchmark behind Table 10: similarity graph + union-find connected components."""
 import numpy as np
 
-from repro.eval.clustering import connected_components, similarity_edges
+from repro.eval.clustering import similarity_edges, union_find_components
 
 
 def unit(v):
@@ -20,11 +20,9 @@ def test_bench_similarity_edges(benchmark):
     assert len(edges) > 0
 
 
-def test_bench_connected_components(benchmark, spark):
+def test_bench_union_find_components(benchmark):
     g = np.random.default_rng(1)
     n = 800
     edges = [tuple(sorted(g.choice(n, 2, replace=False).tolist())) for _ in range(1200)]
-    comp = benchmark.pedantic(
-        lambda: connected_components(spark, edges, n), rounds=2, iterations=1
-    )
+    comp = benchmark(union_find_components, edges, n)
     assert len(comp) == n

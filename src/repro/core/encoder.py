@@ -240,27 +240,14 @@ class SingleColEncoder(MultiColumnEncoder):
     def _step(self, batch, op, rng, opt, tau, embedder) -> float:
         # Single-column training (§3.2): each column is an independent
         # item; augmentation transforms columns one at a time, so
-        # column-level ops degrade to cell-level ones.
+        # column-level ops degrade to cell-level ones. A one-column table
+        # has a zero context vector, so W2's gradient is zero and it
+        # stays at 0.
         col_op = op if op in ("drop_cell", "drop_token", "swap_token",
                               "repl_token", "sample_row", "sample_row_ordered",
                               "shuffle_row") else "sample_row"
-        singles: list[TableView] = []
-        for v in batch:
-            for c in v.cols:
-                singles.append(TableView(v.table_id, [c]))
-        views = [(s, apply_op(s, col_op, rng, embedder=embedder)) for s in singles]
-        b_blocks, pairs = [], []
-        offset = 0
-        for ori, aug in views:
-            pairs.extend(aligned_pairs(ori, aug, offset, offset + 1))
-            b_blocks.append(base_vectors([ori.cols[0].vecs], self.d_in))
-            b_blocks.append(base_vectors([aug.cols[0].vecs], self.d_in))
-            offset += 2
-        b = np.vstack(b_blocks)
-        u = self.forward(b, None)
-        loss, du = loss_and_grad(u, pairs, tau)
-        opt.step([du.T @ b, np.zeros_like(self.W2)])
-        return loss
+        singles = [TableView(v.table_id, [c]) for v in batch for c in v.cols]
+        return super()._step(singles, col_op, rng, opt, tau, embedder)
 
 
 EMB_SCHEMA = T.StructType(

@@ -49,10 +49,6 @@ def idf_map(tokens_df: DataFrame) -> dict[str, float]:
     return {r["token"]: log_m / r["df"] for r in rows}
 
 
-def token_score(token: str, idf: dict[str, float], default: float = 0.0) -> float:
-    return idf.get(token, default)
-
-
 def cell_score(tokens: list[str], idf: dict[str, float], *, mode: str = "sum") -> float:
     """Cell importance: sum or average of token TF-IDF scores (Alg. 2 l.2)."""
     if not tokens:

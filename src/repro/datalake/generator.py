@@ -126,6 +126,39 @@ def _domain_columns(
     return rows
 
 
+def _partitions(
+    domain: Domain,
+    tid_prefix: str,
+    count: int,
+    base_rows: int,
+    rows_range: tuple[int, int],
+    g: np.random.Generator,
+) -> tuple[list[dict], list[str]]:
+    """TUS-style partitions of one base table of ``domain``.
+
+    The base table's full column value arrays are materialized once, so
+    partitions of the same base share the value distribution. Each
+    partition keeps a column subset with an anchor (``_col_subset``) and
+    a contiguous row window of the base.
+    """
+    base_cols = _domain_columns(domain, f"{domain.name}__base", base_rows, g)
+    m = len(domain.columns)
+    rows: list[dict] = []
+    tids: list[str] = []
+    for j in range(count):
+        tid = f"{tid_prefix}{domain.name}__p{j:03d}"
+        k = int(g.integers(max(2, (m + 1) // 2), m + 1))
+        keep = _col_subset(domain, k, g)
+        n_rows = int(g.integers(*rows_range))
+        start = int(g.integers(0, base_rows - n_rows))
+        for out_idx, ci in enumerate(keep):
+            src = base_cols[ci]
+            rows.append({**src, "table_id": tid, "col_idx": out_idx,
+                         "cells": src["cells"][start : start + n_rows]})
+        tids.append(tid)
+    return rows, tids
+
+
 def _to_lake(spark: SparkSession, name: str, rows: list[dict],
              queries: list[str], gt: dict[str, set[str]] | None) -> Lake:
     pdf = pd.DataFrame(rows)
@@ -181,29 +214,10 @@ def tus_lake(
     rows: list[dict] = []
     by_base: dict[str, list[str]] = {}
     for d in domains:
-        # Materialize the base table's full column value arrays once so
-        # that partitions of the same base share the value distribution.
-        base_cols = _domain_columns(d, f"{d.name}__base", base_rows, g)
-        m = len(d.columns)
-        for j in range(partitions_per_base):
-            tid = f"{d.name}__p{j:03d}"
-            k = int(g.integers(max(2, (m + 1) // 2), m + 1))
-            keep = _col_subset(d, k, g)
-            n_rows = int(g.integers(*part_rows_range))
-            start = int(g.integers(0, base_rows - n_rows))
-            for out_idx, ci in enumerate(keep):
-                src = base_cols[ci]
-                rows.append(
-                    {
-                        "table_id": tid,
-                        "domain": d.name,
-                        "col_idx": out_idx,
-                        "col_name": src["col_name"],
-                        "sem_type": src["sem_type"],
-                        "cells": src["cells"][start : start + n_rows],
-                    }
-                )
-            by_base.setdefault(d.name, []).append(tid)
+        part_rows, by_base[d.name] = _partitions(
+            d, "", partitions_per_base, base_rows, part_rows_range, g
+        )
+        rows.extend(part_rows)
     all_tids = [t for ts in by_base.values() for t in ts]
     queries = list(g.choice(all_tids, size=min(n_queries, len(all_tids)), replace=False))
     gt = {q: set(by_base[q.split("__")[0]]) for q in queries}
@@ -265,33 +279,9 @@ def microbench_lake(
     rows: list[dict] = []
     by_domain: dict[str, list[str]] = {}
 
-    def add_partitions(d: Domain, count: int) -> None:
-        base_rows = 360
-        base_cols = _domain_columns(d, f"{d.name}__base", base_rows, g)
-        m = len(d.columns)
-        for j in range(count):
-            tid = f"mb_{d.name}__p{j:03d}"
-            k = int(g.integers(max(2, (m + 1) // 2), m + 1))
-            keep = _col_subset(d, k, g)
-            n_rows = int(g.integers(*rows_range))
-            start = int(g.integers(0, base_rows - n_rows))
-            for out_idx, ci in enumerate(keep):
-                src = base_cols[ci]
-                rows.append(
-                    {
-                        "table_id": tid,
-                        "domain": d.name,
-                        "col_idx": out_idx,
-                        "col_name": src["col_name"],
-                        "sem_type": src["sem_type"],
-                        "cells": src["cells"][start : start + n_rows],
-                    }
-                )
-            by_domain.setdefault(d.name, []).append(tid)
-
-    add_partitions(query_domain, n_query_tables)
-    for d in neg_domains:
-        add_partitions(d, per_neg)
+    for d, count in [(query_domain, n_query_tables)] + [(d, per_neg) for d in neg_domains]:
+        part_rows, by_domain[d.name] = _partitions(d, "mb_", count, 360, rows_range, g)
+        rows.extend(part_rows)
     queries = list(
         g.choice(by_domain[query_domain.name], size=n_queries, replace=False)
     )

@@ -2,19 +2,16 @@
 
 From column embeddings we build a similarity graph (edges between
 columns with cosine ≥ θ, paper uses θ=0.6) and cluster via connected
-components. The dense pairwise similarity is a blocked numpy GEMM on
-the driver (a few thousand columns); the connected-components step runs
-as iterative Spark DataFrame min-label propagation so it scales with
-the edge list.
+components. Both steps run on the driver: the dense pairwise similarity
+is a blocked numpy GEMM (a few thousand columns) and the components come
+from union-find over its edge list.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from .metrics import purity
 
@@ -33,57 +30,8 @@ def similarity_edges(vecs: np.ndarray, theta: float, block: int = 1024) -> list[
     return edges
 
 
-def connected_components(
-    spark: SparkSession, edges: list[tuple[int, int]], n_nodes: int, max_iter: int = 50
-) -> dict[int, int]:
-    """Min-label propagation over a Spark DataFrame until fixpoint."""
-    nodes = spark.createDataFrame(
-        pd.DataFrame({"node": np.arange(n_nodes, dtype=np.int64)})
-    ).withColumn("comp", F.col("node"))
-    if not edges:
-        return {int(r["node"]): int(r["comp"]) for r in nodes.collect()}
-    e = pd.DataFrame(edges, columns=["src", "dst"])
-    # symmetric edge list
-    edf = spark.createDataFrame(
-        pd.concat([e, e.rename(columns={"src": "dst", "dst": "src"})], ignore_index=True)
-    ).cache()
-    nodes = nodes.localCheckpoint(eager=True)
-    for _ in range(max_iter):
-        neigh_min = (
-            edf.join(nodes, edf.dst == nodes.node)
-            .groupBy("src")
-            .agg(F.min("comp").alias("nmin"))
-        )
-        updated = (
-            nodes.join(neigh_min, nodes.node == neigh_min.src, "left")
-            .select(
-                "node",
-                F.least(F.col("comp"), F.coalesce("nmin", F.col("comp"))).alias("comp"),
-            )
-        # localCheckpoint truncates the lineage: without it each iteration
-        # nests the previous plan and Catalyst planning blows up
-        ).localCheckpoint(eager=True)
-        changed = (
-            updated.alias("u")
-            .join(nodes.alias("o"), "node")
-            .where(F.col("u.comp") != F.col("o.comp"))
-            .count()
-        )
-        nodes = updated
-        if changed == 0:
-            break
-    out = {int(r["node"]): int(r["comp"]) for r in nodes.collect()}
-    edf.unpersist()
-    return out
-
-
 def union_find_components(edges: list[tuple[int, int]], n_nodes: int) -> dict[int, int]:
-    """Driver-side union-find — exact same semantics as the Spark CC.
-
-    Used for cheap θ-grid scouting; the distributed label-propagation CC
-    is used for the final clustering run (and is property-tested against
-    this implementation).
-    """
+    """Connected components: node → the smallest node of its component."""
     parent = list(range(n_nodes))
 
     def find(x: int) -> int:
@@ -106,32 +54,16 @@ class ClusteringResult:
     purity: float
 
 
-def cluster_columns(
-    spark: SparkSession,
-    emb_df: DataFrame,
-    *,
-    theta: float = 0.6,
-    min_cluster: int = 1,
-    use_spark: bool = True,
-) -> ClusteringResult:
+def cluster_columns(emb_df: DataFrame, *, theta: float) -> ClusteringResult:
     """The full Table 10 pipeline: graph → components → purity vs sem_type."""
     rows = emb_df.select("table_id", "col_idx", "sem_type", "emb").collect()
     ids = [f"{r['table_id']}#{r['col_idx']}" for r in rows]
     labels = {i: r["sem_type"] for i, r in zip(ids, rows)}
     vecs = np.asarray([r["emb"] for r in rows], dtype=np.float32)
-    edges = similarity_edges(vecs, theta)
-    if use_spark:
-        comp = connected_components(spark, edges, len(ids))
-    else:
-        comp = union_find_components(edges, len(ids))
+    comp = union_find_components(similarity_edges(vecs, theta), len(ids))
     assignment = {ids[i]: comp[i] for i in range(len(ids))}
-    sizes: dict[int, int] = {}
-    for c in assignment.values():
-        sizes[c] = sizes.get(c, 0) + 1
-    keep = {c for c, s in sizes.items() if s >= min_cluster}
-    assignment = {i: c for i, c in assignment.items() if c in keep}
-    n = len(keep)
-    avg = (sum(sizes[c] for c in keep) / n) if n else 0.0
+    n = len(set(assignment.values()))
+    avg = len(assignment) / n if n else 0.0
     return ClusteringResult(
         n_clusters=n, avg_size=avg, purity=purity(assignment, labels)
     )

@@ -169,7 +169,6 @@ def run_union_search(
     *,
     k: int = 10,
     mode: str = "pruning",
-    engine_kwargs: dict | None = None,
 ) -> SearchRun:
     """Top-k union search for all queries; aggregates Algorithm 3 stats."""
     if bundle.ranker is not None:
@@ -178,9 +177,7 @@ def run_union_search(
         dt = (time.perf_counter() - t0) / max(1, len(queries))
         return SearchRun(rankings, dt, 0.0, 0.0)
     t0 = time.perf_counter()
-    engine = SearchEngine(
-        store=bundle.store, mode=mode, tau=bundle.tau, **(engine_kwargs or {})
-    )
+    engine = SearchEngine(store=bundle.store, mode=mode, tau=bundle.tau)
     build_s = time.perf_counter() - t0
     rankings: dict[str, list[str]] = {}
     agg = QueryStats()

@@ -6,10 +6,8 @@ persists it under ``results/``. Jobs in ``jobs/`` are thin wrappers.
 from __future__ import annotations
 
 import os
-import time
 from pathlib import Path
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -23,13 +21,12 @@ from .common import build_method, prepare, run_union_search, train_and_embed
 RESULTS_DIR = Path(os.environ.get("REPRO_RESULTS_DIR",
                                   Path(__file__).resolve().parents[3] / "results"))
 
-# Augmentation op per benchmark family. The paper (§5.1.5) found drop_col
+# Augmentation op for every benchmark. The paper (§5.1.5) found drop_col
 # best on SANTOS and drop_cell best on TUS with RoBERTa; with our
 # Word2Vec+linear-contextual substitute, drop_col is consistently best on
 # both families (cell-level perturbations are too weak for mean-pooled
 # base vectors), so we use it throughout.
-BENCH_OP = {"santos": "drop_col", "tus": "drop_col", "wdc": "drop_col",
-            "microbench": "drop_col"}
+AUG_OP = "drop_col"
 BENCH_K = {"santos_small_lite": 10, "tus_small_lite": 60, "tus_large_lite": 60}
 
 
@@ -37,11 +34,6 @@ def _save(df: pd.DataFrame, name: str) -> pd.DataFrame:
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     df.to_csv(RESULTS_DIR / f"{name}.csv", index=False)
     return df
-
-
-def _op_for(bench: str) -> str:
-    return BENCH_OP["santos" if bench.startswith("santos") else
-                    "tus" if bench.startswith("tus") else "wdc"]
 
 
 def table2_stats(spark: SparkSession, *, scale: float = 1.0,
@@ -75,7 +67,6 @@ def table3_effectiveness(
         lake = build_benchmark(spark, b, scale)
         prep = prepare(spark, lake)
         k = min(BENCH_K.get(b, 10), max(5, len(lake.tables()) // 4))
-        op = _op_for(b)
         for m in methods:
             if m == "santos" and b == "tus_large_lite":
                 # the paper cannot evaluate SANTOS on TUS Large (no
@@ -83,7 +74,7 @@ def table3_effectiveness(
                 rows.append({"benchmark": b, "k": k, "method": m,
                              "map": None, "r": None, "p": None, "ideal_r": None})
                 continue
-            bundle = build_method(prep, m, op=op, epochs=epochs, lr=lr)
+            bundle = build_method(prep, m, op=AUG_OP, epochs=epochs, lr=lr)
             run = run_union_search(bundle, lake.queries, k=k, mode="pruning")
             ev = evaluate_rankings(run.rankings, lake.ground_truth, k)
             rows.append({"benchmark": b, "k": k, "method": m,
@@ -107,7 +98,7 @@ def table4_negative_classes(
     for c in classes:
         lake = microbench_lake(spark, n_negative_classes=c, n_tables=n_tables)
         prep = prepare(spark, lake)
-        bundle = build_method(prep, "starmie", op=BENCH_OP["microbench"], epochs=epochs)
+        bundle = build_method(prep, "starmie", op=AUG_OP, epochs=epochs)
         rec = {"n_negative_classes": c}
         for k_name, k in (("map_60", 60), ("map_120", 120)):
             run = run_union_search(bundle, lake.queries, k=k, mode="pruning")
@@ -138,10 +129,9 @@ def table5_design_choices(
     """
     lake = build_benchmark(spark, bench, scale)
     prep = prepare(spark, lake)
-    op = _op_for(bench)
     rows = []
     for m in methods:
-        bundle = build_method(prep, m, op=op, epochs=epochs, lr=lr)
+        bundle = build_method(prep, m, op=AUG_OP, epochs=epochs, lr=lr)
         for mode in modes:
             run = run_union_search(bundle, lake.queries, k=k, mode=mode)
             ev = evaluate_rankings(run.rankings, lake.ground_truth, k)
@@ -177,7 +167,7 @@ def table6_memory(
     raw_bytes = lake_io.lake_raw_bytes(lake.df)
     parquet_mb = round(lake_io.parquet_bytes(lake.df) / (1 << 20), 2)
     prep = prepare(spark, lake)
-    bundle = build_method(prep, "starmie", op="drop_col", epochs=epochs)
+    bundle = build_method(prep, "starmie", op=AUG_OP, epochs=epochs)
     from ..search.engine import SearchEngine
 
     rows = []
@@ -230,23 +220,15 @@ def table10_clustering(
                        tables_per_domain=max(4, int(16 * scale)),
                        n_queries=4, seed=41)
     prep = prepare(spark, lake)
-    op = "drop_col"
     rows = []
     for m in methods:
-        emb_df = train_and_embed(prep, m, op=op, epochs=epochs)[0].cache()
-        best = None
-        # θ grid scouting with driver union-find; the winning θ is re-run
-        # through the distributed label-propagation CC.
-        for theta in (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85,
-                      0.9, 0.93, 0.95, 0.97, 0.98, 0.99):
-            res = cluster_columns(spark, emb_df, theta=theta, use_spark=False)
-            if res.n_clusters == 0:
-                continue
-            gap = abs(res.avg_size - target_avg_size)
-            if best is None or gap < best[0]:
-                best = (gap, theta, res)
-        theta = best[1]
-        res = cluster_columns(spark, emb_df, theta=theta, use_spark=True)
+        emb_df = train_and_embed(prep, m, op=AUG_OP, epochs=epochs)[0].cache()
+        by_theta = {theta: cluster_columns(emb_df, theta=theta)
+                    for theta in (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85,
+                                  0.9, 0.93, 0.95, 0.97, 0.98, 0.99)}
+        # the first θ of the grid whose average cluster size is closest
+        theta = min(by_theta, key=lambda t: abs(by_theta[t].avg_size - target_avg_size))
+        res = by_theta[theta]
         rows.append({"method": m, "theta": theta, "n_clusters": res.n_clusters,
                      "avg_cluster_size": round(res.avg_size, 2),
                      "purity_pct": round(100 * res.purity, 2)})
@@ -266,10 +248,9 @@ def scalability_sweep(
     """Query-time scalability behind Fig. 10 (supports Table 5/8 narrative)."""
     lake = build_benchmark(spark, bench, scale)
     prep = prepare(spark, lake)
-    bundle = build_method(prep, "starmie", op=_op_for(bench), epochs=epochs)
+    bundle = build_method(prep, "starmie", op=AUG_OP, epochs=epochs)
     rows = []
     for mode in modes:
-        t0 = time.perf_counter()
         for k in ks:
             run = run_union_search(bundle, lake.queries, k=k, mode=mode)
             rows.append({

@@ -1,13 +1,14 @@
-"""Similarity graph + Spark connected components + purity (Table 10 machinery)."""
+"""Similarity graph + union-find connected components + purity (Table 10 machinery)."""
+from collections import deque
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.eval.clustering import (
     cluster_columns,
-    connected_components,
     similarity_edges,
+    union_find_components,
 )
 
 
@@ -15,51 +16,45 @@ def unit(v):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def union_find_reference(edges, n):
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def bfs_components(edges, n):
+    """Reference: breadth-first search from each unvisited node in
+    ascending order, so every node is labeled with its component's
+    smallest node."""
+    adj = [[] for _ in range(n)]
     for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return [find(i) for i in range(n)]
+        adj[a].append(b)
+        adj[b].append(a)
+    label = [None] * n
+    for root in range(n):
+        if label[root] is not None:
+            continue
+        label[root] = root
+        queue = deque([root])
+        while queue:
+            for y in adj[queue.popleft()]:
+                if label[y] is None:
+                    label[y] = root
+                    queue.append(y)
+    return {i: label[i] for i in range(n)}
 
 
-def canonical(assign: dict[int, int], n: int) -> list[int]:
-    seen: dict[int, int] = {}
-    out = []
-    for i in range(n):
-        c = assign[i]
-        out.append(seen.setdefault(c, len(seen)))
-    return out
-
-
-@settings(max_examples=12, deadline=None)
-@given(st.integers(2, 14), st.integers(0, 1_000_000))
-def test_components_match_union_find(spark, n, seed):
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 1_000_000))
+def test_union_find_matches_bfs(n, seed):
     g = np.random.default_rng(seed)
-    m = int(g.integers(0, n * 2))
+    m = int(g.integers(0, n * 2)) if n > 1 else 0
     edges = [tuple(sorted(g.choice(n, 2, replace=False).tolist())) for _ in range(m)]
-    got = connected_components(spark, edges, n)
-    ref = union_find_reference(edges, n)
-    ref_assign = {i: ref[i] for i in range(n)}
-    assert canonical(got, n) == canonical(ref_assign, n)
+    assert union_find_components(edges, n) == bfs_components(edges, n)
 
 
-def test_no_edges_all_singletons(spark):
-    got = connected_components(spark, [], 5)
-    assert sorted(got.values()) == [0, 1, 2, 3, 4]
+def test_no_edges_all_singletons():
+    assert union_find_components([], 5) == {i: i for i in range(5)}
 
 
-def test_chain_single_component(spark):
-    got = connected_components(spark, [(0, 1), (1, 2), (2, 3)], 4)
-    assert len(set(got.values())) == 1
+def test_chain_single_component():
+    # edges given end-first so the smallest node is not the first root
+    got = union_find_components([(2, 3), (1, 2), (0, 1)], 4)
+    assert got == {0: 0, 1: 0, 2: 0, 3: 0}
 
 
 def test_similarity_edges_threshold():
@@ -85,11 +80,11 @@ def test_similarity_edges_blocked_equals_unblocked():
     )
 
 
-def test_cluster_columns_end_to_end(spark, prep_santos):
+def test_cluster_columns_end_to_end(prep_santos):
     from repro.experiments.common import train_and_embed
 
     emb_df, _, _ = train_and_embed(prep_santos, "sherlock")
-    res = cluster_columns(spark, emb_df, theta=0.95)
+    res = cluster_columns(emb_df, theta=0.95)
     assert res.n_clusters > 0
     assert 0.0 <= res.purity <= 1.0
     assert res.avg_size >= 1.0

@@ -97,6 +97,17 @@ def test_singlecol_training_reduces_loss(views, prep_santos):
     assert np.mean(stats.losses[-5:]) < np.mean(stats.losses[:5])
 
 
+@pytest.mark.parametrize("op", ["drop_col", "repl_token"])
+def test_singlecol_training_keeps_w2_zero(views, prep_santos, op):
+    """SingleCol trains through the multi-column step on one-column
+    tables: their context vector is zero, so W2 never moves."""
+    enc = SingleColEncoder(d_in=64, seed=0)
+    w1 = enc.W1.copy()
+    enc.train(views, op=op, n_epochs=1, embedder=prep_santos.embedder, seed=0)
+    assert not enc.W2.any()
+    assert not np.array_equal(enc.W1, w1)
+
+
 def test_encode_view_unit_norm(views, prep_santos):
     enc = MultiColumnEncoder(d_in=64, seed=0)
     z = enc.encode(prep_santos.embedder, units_of(next(iter(views.values()))))
